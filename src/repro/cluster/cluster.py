@@ -361,11 +361,11 @@ class ShardedCluster:
                     [self.costs.view_record] * len(entries)
                 )
             if not shard.disk.logs.has_epoch(FRONTIER_STREAM, epoch_id):
-                payload = [entry.encoded() for entry in entries]
+                payload = encode([entry.encoded() for entry in entries])
                 io_s = shard.disk.logs.commit_epoch(
                     FRONTIER_STREAM, epoch_id, payload
                 )
-                shard._charge_runtime_io(io_s, len(encode(payload)))
+                shard._charge_runtime_io(io_s, len(payload))
         return routes
 
     def _frontier_of(self, sid: int) -> DependencyFrontier:

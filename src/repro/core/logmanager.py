@@ -83,20 +83,22 @@ class ViewSegment:
             partition_map=partition,
         )
 
-    def byte_size(self) -> int:
-        return len(encode(self.encoded()))
-
 
 class LoggingManager:
-    """Buffers view segments and group-commits them on commit markers."""
+    """Buffers view segments and group-commits them on commit markers.
+
+    A segment is encoded once, when it is staged; the buffer keeps the
+    bytes, which both size the buffer and go to the log store as is.
+    """
 
     def __init__(self, disk: Disk):
         self._disk = disk
-        self._buffer: List[ViewSegment] = []
+        #: (epoch id, encoded segment) per staged epoch, in order.
+        self._buffer: List[Tuple[int, bytes]] = []
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(segment.byte_size() for segment in self._buffer)
+        return sum(len(payload) for _epoch_id, payload in self._buffer)
 
     @property
     def buffered_epochs(self) -> int:
@@ -104,7 +106,7 @@ class LoggingManager:
 
     def stage(self, segment: ViewSegment) -> None:
         """Buffer one epoch's views until the next commit marker."""
-        self._buffer.append(segment)
+        self._buffer.append((segment.epoch_id, encode(segment.encoded())))
 
     def commit(self) -> Tuple[float, int]:
         """Flush all buffered segments; returns (io_seconds, bytes).
@@ -115,12 +117,9 @@ class LoggingManager:
         io_seconds = 0.0
         total_bytes = 0
         faults = getattr(self._disk, "faults", None)
-        for segment in self._buffer:
-            blob = segment.encoded()
-            io_seconds += self._disk.logs.commit_epoch(
-                STREAM, segment.epoch_id, blob
-            )
-            total_bytes += segment.byte_size()
+        for epoch_id, payload in self._buffer:
+            io_seconds += self._disk.logs.commit_epoch(STREAM, epoch_id, payload)
+            total_bytes += len(payload)
             # Crash point inside group commit: an injected crash lands
             # with some-but-not-all segments of this commit durable.
             if faults is not None:

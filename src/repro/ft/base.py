@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
@@ -372,7 +372,8 @@ class FTScheme(ABC):
         self._crash_epoch: Optional[int] = None
         self._pending_events: List[Event] = []
         self._peak_buffer_bytes = 0
-        self._state_bytes = len(encode(self.store.snapshot()))
+        initial_state = encode(self.store.snapshot())
+        self._state_bytes = len(initial_state)
         #: incremental checkpointing: delta snapshots of dirty records,
         #: anchored by a full snapshot every ``full_snapshot_every``.
         self.incremental_snapshots = incremental_snapshots
@@ -439,7 +440,7 @@ class FTScheme(ABC):
             # has a base even if the crash precedes the first interval.
             # A pre-populated disk (reopened after a real process crash)
             # keeps its existing checkpoints instead.
-            self.disk.snapshots.put(-1, self.store.snapshot())
+            self.disk.snapshots.put(-1, initial_state)
 
     # ------------------------------------------------------------------
     # runtime
@@ -618,8 +619,8 @@ class FTScheme(ABC):
         """Scheme hook: runtime tracking/logging for one epoch."""
 
     def _take_snapshot(self, epoch_id: int) -> None:
-        snap = self.store.snapshot()
-        self._state_bytes = len(encode(snap))
+        state = encode(self.store.snapshot())
+        self._state_bytes = len(state)
         base = self.disk.snapshots.latest_epoch()
         take_delta = (
             self.incremental_snapshots
@@ -630,13 +631,13 @@ class FTScheme(ABC):
             delta: Dict[str, Dict] = {}
             for ref in self._dirty_refs:
                 delta.setdefault(ref.table, {})[ref.key] = self.store.get(ref)
-            delta_bytes = len(encode(delta))
-            io_s = self.disk.snapshots.put_delta(epoch_id, delta, base)
-            self._charge_runtime_io(io_s, delta_bytes)
-            self._snapshot_bytes_written += delta_bytes
+            payload = encode(delta)
+            io_s = self.disk.snapshots.put_delta(epoch_id, payload, base)
+            self._charge_runtime_io(io_s, len(payload))
+            self._snapshot_bytes_written += len(payload)
             self._deltas_since_full += 1
         else:
-            io_s = self.disk.snapshots.put(epoch_id, snap)
+            io_s = self.disk.snapshots.put(epoch_id, state)
             self._charge_runtime_io(io_s, self._state_bytes)
             self._snapshot_bytes_written += self._state_bytes
             self._deltas_since_full = 0
@@ -678,6 +679,18 @@ class FTScheme(ABC):
         overlap = 0.0 if blocking else self.costs.io_overlap
         exposed = device_seconds * (1.0 - overlap)
         self.machine.spend_all(buckets.IO, serialize / self.num_workers + exposed)
+
+    def _commit_log(self, stream: str, epoch_id: int, records: Any) -> None:
+        """Group-commit one epoch's log records before the epoch commits.
+
+        The records are encoded once: the same bytes size the volatile
+        log buffer, go to the log store and are charged.  The flush is
+        blocking — write-ahead-style logs must be durable first.
+        """
+        payload = encode(records)
+        self._note_buffer(len(payload))
+        io_s = self.disk.logs.commit_epoch(stream, epoch_id, payload)
+        self._charge_runtime_io(io_s, len(payload), blocking=True)
 
     def _charge_tracking(self, per_item_seconds: Sequence[float]) -> None:
         """Charge parallelizable dependency-tracking work (Fig. 12d)."""

@@ -38,8 +38,16 @@ _TAG_BYTES = 0x06
 _TAG_TUPLE = 0x07
 _TAG_LIST = 0x08
 _TAG_DICT = 0x09
+#: The values of the tags that carry no payload, indexed by tag.
+_CONSTANTS = (None, False, True)
 
 _FLOAT = struct.Struct(">d")
+_unpack_float = _FLOAT.unpack_from
+
+#: What the decoder raises on bytes that are not a whole record: reads
+#: past the end (``IndexError``, ``struct.error``), invalid UTF-8 and
+#: unhashable dict keys.  :func:`decode` reports them as StorageError.
+_MALFORMED = (IndexError, struct.error, UnicodeDecodeError, TypeError)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -71,10 +79,6 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
 def _wide_zigzag(value: int) -> int:
     # Zig-zag mapping for arbitrary-precision ints (Python ints are unbounded).
     return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return value >> 1 if not value & 1 else -((value + 1) >> 1)
 
 
 def _encode_into(out: bytearray, obj: Any) -> None:
@@ -132,61 +136,111 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
-def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
-    if pos >= len(data):
-        raise StorageError("truncated record: missing tag")
-    tag = data[pos]
-    pos += 1
-    if tag == _TAG_NONE:
-        return None, pos
-    if tag == _TAG_TRUE:
-        return True, pos
-    if tag == _TAG_FALSE:
-        return False, pos
-    if tag == _TAG_INT:
-        raw, pos = _read_varint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == _TAG_FLOAT:
-        if pos + 8 > len(data):
-            raise StorageError("truncated float")
-        return _FLOAT.unpack_from(data, pos)[0], pos + 8
-    if tag == _TAG_STR:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise StorageError("truncated string")
-        return data[pos:end].decode("utf-8"), end
-    if tag == _TAG_BYTES:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise StorageError("truncated bytes")
-        return data[pos:end], end
-    if tag in (_TAG_TUPLE, _TAG_LIST):
-        count, pos = _read_varint(data, pos)
-        items: List[Any] = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        return (tuple(items) if tag == _TAG_TUPLE else items), pos
-    if tag == _TAG_DICT:
-        count, pos = _read_varint(data, pos)
-        result = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            value, pos = _decode_from(data, pos)
-            result[key] = value
-        return result, pos
-    raise StorageError(f"unknown tag byte 0x{tag:02x}")
+def list_header(count: int) -> bytes:
+    """The tag and count that precede the items of an encoded list.
+
+    ``list_header(len(xs)) + b"".join(encode(x) for x in xs)`` equals
+    ``encode(list(xs))`` byte for byte, so a store can keep items
+    encoded one by one and still charge, write and frame exactly what
+    encoding the whole list would produce.
+    """
+    out = bytearray((_TAG_LIST,))
+    _write_varint(out, count)
+    return bytes(out)
+
+
+def _decode_items(data: bytes, pos: int, count: int) -> Tuple[List[Any], int]:
+    """Decode ``count`` consecutive values; returns (values, next pos).
+
+    Recovery decodes every event, view and snapshot it reloads.  Their
+    values are mostly small ints, floats and short strings inside
+    containers, so each value is decoded inline here and only a nested
+    container costs a call.  Reads past the end raise ``IndexError`` or
+    ``struct.error``, which :func:`decode` reports as StorageError.
+    """
+    items: List[Any] = []
+    append = items.append
+    for _ in range(count):
+        tag = data[pos]
+        if tag == _TAG_INT:
+            byte = data[pos + 1]
+            pos += 2
+            raw = byte & 0x7F
+            shift = 7
+            while byte & 0x80:
+                byte = data[pos]
+                pos += 1
+                raw |= (byte & 0x7F) << shift
+                shift += 7
+            append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)
+        elif tag == _TAG_FLOAT:
+            append(_unpack_float(data, pos + 1)[0])
+            pos += 9
+        elif tag == _TAG_STR or tag == _TAG_BYTES:
+            length = data[pos + 1]
+            if length < 0x80:
+                start = pos + 2
+            else:
+                length, start = _read_varint(data, pos + 1)
+            pos = start + length
+            if pos > len(data):
+                raise StorageError("truncated string or bytes")
+            raw_bytes = data[start:pos]
+            append(raw_bytes.decode("utf-8") if tag == _TAG_STR else raw_bytes)
+        elif tag == _TAG_TUPLE or tag == _TAG_LIST:
+            length = data[pos + 1]
+            if length < 0x80:
+                pos += 2
+            else:
+                length, pos = _read_varint(data, pos + 1)
+            values, pos = _decode_items(data, pos, length)
+            append(tuple(values) if tag == _TAG_TUPLE else values)
+        elif tag == _TAG_DICT:
+            length, pos = _read_varint(data, pos + 1)
+            flat, pos = _decode_items(data, pos, 2 * length)
+            pairs = iter(flat)
+            append(dict(zip(pairs, pairs)))
+        elif tag <= _TAG_TRUE:
+            append(_CONSTANTS[tag])
+            pos += 1
+        else:
+            raise StorageError(f"unknown tag byte 0x{tag:02x}")
+    return items, pos
 
 
 def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`.
 
-    Raises :class:`~repro.errors.StorageError` on truncated or trailing
-    bytes — a partial flush must never decode silently.
+    Raises :class:`~repro.errors.StorageError` on truncated, malformed
+    or trailing bytes — a partial flush must never decode silently.
     """
-    obj, pos = _decode_from(data, 0)
+    try:
+        (obj,), pos = _decode_items(data, 0, 1)
+    except _MALFORMED as exc:
+        raise StorageError(f"truncated or malformed record ({exc})") from None
     if pos != len(data):
         raise StorageError(f"{len(data) - pos} trailing bytes after record")
     return obj
+
+
+def split_list(data: bytes) -> List[bytes]:
+    """The encoded items of an encoded list, in order.
+
+    The inverse of :func:`list_header` plus concatenation; raises
+    :class:`~repro.errors.StorageError` if ``data`` is not one whole
+    encoded list.
+    """
+    if not data or data[0] != _TAG_LIST:
+        raise StorageError("not an encoded list")
+    items: List[bytes] = []
+    try:
+        count, pos = _read_varint(data, 1)
+        for _ in range(count):
+            _item, end = _decode_items(data, pos, 1)
+            items.append(data[pos:end])
+            pos = end
+    except _MALFORMED as exc:
+        raise StorageError(f"truncated or malformed record ({exc})") from None
+    if pos != len(data):
+        raise StorageError(f"{len(data) - pos} trailing bytes after record")
+    return items

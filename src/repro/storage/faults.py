@@ -38,6 +38,11 @@ READ_KINDS = ("read_error",)
 POINT_KINDS = ("crash_point",)
 #: Operation categories the injector distinguishes.
 TARGETS = ("log", "snapshot", "events", "progress", "any")
+#: Targets whose stores pass their flushes through
+#: :meth:`FaultInjector.on_write`.  The event store does not (it reads
+#: through :meth:`FaultInjector.on_read` only), so a write fault aimed
+#: at ``events`` could never fire.
+WRITE_TARGETS = ("log", "snapshot", "progress", "any")
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,11 @@ class FaultSpec:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown fault target {self.target!r}")
+        if self.kind in WRITE_KINDS and self.target not in WRITE_TARGETS:
+            raise ConfigError(
+                f"{self.kind} fault on target {self.target!r} can never "
+                f"fire: the {self.target} store has no on_write hook"
+            )
         if self.kind in POINT_KINDS and not self.point:
             raise ConfigError("crash_point fault needs a point name")
         if self.point is not None:

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import StorageError
-from repro.storage.codec import decode, encode
+from repro.storage.codec import list_header, split_list
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import verify
@@ -72,25 +72,26 @@ class FileEventStore(EventStore):
             self._root.glob("arrivals_*.bin"),
             key=lambda p: int(p.stem.split("_")[1]),
         )
-        stream: List[Any] = []
+        stream: List[bytes] = []
         for path in arrivals:
-            stream.extend(decode(path.read_bytes()))
+            stream.extend(split_list(path.read_bytes()))
             self._arrival_index = int(path.stem.split("_")[1]) + 1
         cursor = 0
         if self._boundaries_path().exists():
             for line in self._boundaries_path().read_text().splitlines():
                 epoch_id, count = (int(part) for part in line.split())
-                self._epochs[epoch_id] = stream[cursor : cursor + count]
+                self._seal(epoch_id, stream[cursor : cursor + count])
                 cursor += count
         self._pending = stream[cursor:]
+        self._pending_bytes = sum(map(len, self._pending))
         # GC'd epochs leave holes: boundaries of reclaimed epochs were
         # rewritten at truncate time, so the replay above is exact.
 
-    def append_events(self, events: List[Any]) -> float:
+    def _append_encoded(self, items: List[bytes]) -> float:
         path = self._root / f"arrivals_{self._arrival_index}.bin"
-        path.write_bytes(encode(list(events)))
+        path.write_bytes(list_header(len(items)) + b"".join(items))
         self._arrival_index += 1
-        return super().append_events(events)
+        return super()._append_encoded(items)
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         seconds = super().seal_epoch(epoch_id, count)
@@ -114,14 +115,16 @@ class FileEventStore(EventStore):
         """Compact: one arrivals file of surviving events + boundaries."""
         for path in self._root.glob("arrivals_*.bin"):
             path.unlink()
-        surviving: List[Any] = []
+        surviving: List[bytes] = []
         lines = []
         for epoch_id in sorted(self._epochs):
-            payloads = self._epochs[epoch_id]
-            surviving.extend(payloads)
-            lines.append(f"{epoch_id} {len(payloads)}")
+            items = split_list(self._payload(epoch_id))
+            surviving.extend(items)
+            lines.append(f"{epoch_id} {len(items)}")
         surviving.extend(self._pending)
-        (self._root / "arrivals_0.bin").write_bytes(encode(surviving))
+        (self._root / "arrivals_0.bin").write_bytes(
+            list_header(len(surviving)) + b"".join(surviving)
+        )
         self._arrival_index = 1
         self._boundaries_path().write_text(
             "\n".join(lines) + ("\n" if lines else "")
@@ -154,15 +157,15 @@ class FileSnapshotStore(SnapshotStore):
                     base,
                 )
 
-    def put(self, epoch_id: int, state: Any) -> float:
-        seconds = super().put(epoch_id, state)
+    def put(self, epoch_id: int, payload: bytes) -> float:
+        seconds = super().put(epoch_id, payload)
         entry = self._snapshots.get(epoch_id)
         if entry is not None:  # a dropped flush never reaches the medium
             (self._root / f"{epoch_id}.full").write_bytes(entry[1])
         return seconds
 
-    def put_delta(self, epoch_id: int, delta: Any, base_epoch: int) -> float:
-        seconds = super().put_delta(epoch_id, delta, base_epoch)
+    def put_delta(self, epoch_id: int, payload: bytes, base_epoch: int) -> float:
+        seconds = super().put_delta(epoch_id, payload, base_epoch)
         entry = self._snapshots.get(epoch_id)
         if entry is not None:
             (self._root / f"{epoch_id}.delta.{base_epoch}").write_bytes(
@@ -236,8 +239,8 @@ class FileLogStore(LogStore):
                         path.unlink()
                     self.truncated_tails.append((stream, epoch_id))
 
-    def commit_epoch(self, stream: str, epoch_id: int, records: Any) -> float:
-        seconds = super().commit_epoch(stream, epoch_id, records)
+    def commit_epoch(self, stream: str, epoch_id: int, payload: bytes) -> float:
+        seconds = super().commit_epoch(stream, epoch_id, payload)
         blob = self._segments.get((stream, epoch_id))
         if blob is not None:  # a dropped flush never reaches the medium
             stream_dir = self._root / stream

@@ -29,6 +29,9 @@ from repro.errors import CorruptSegmentError, TornSegmentError
 #: Frame header: CRC32 of the payload, then the payload length.
 _HEADER = struct.Struct(">II")
 
+#: Bytes :func:`protect` puts in front of a payload.
+FRAME_BYTES = _HEADER.size
+
 
 def protect(payload: bytes) -> bytes:
     """Frame ``payload`` with its CRC32 checksum and length."""

@@ -10,12 +10,22 @@ Three stores mirror what the paper persists (§VI-C):
   dependency records, LV vectors, MorphStreamR views), group-committed
   per epoch.
 
-All payloads pass through :mod:`repro.storage.codec`; a store holds only
-bytes, and readers decode.  A simulated crash destroys every in-memory
-component *except* these stores.  Each mutating/reading call returns the
-virtual seconds the device charged so callers can bill a core.
+All payloads pass through :mod:`repro.storage.codec`, and a store holds
+only bytes.  Each durable write is encoded exactly once: log segments
+and snapshots by the caller, which charges the payload's length for
+its own accounting; events and recovery watermarks by their store.
+The store frames the payload with
+:func:`~repro.storage.integrity.protect` and keeps the frame; readers
+verify it and decode.  Every size a store charges or reports (device
+reads and writes, ``bytes_stored``, bytes freed by GC) is the length of
+bytes it keeps, never the size of an object encoded again.  The event
+store keeps running totals of those lengths, because the runtime asks
+for its size every epoch.  A simulated crash destroys every in-memory
+component *except* these stores.  Each mutating/reading call returns
+the virtual seconds the device charged so callers can bill a core.
 
-Every store optionally routes its flushes and fetches through a
+Every store optionally routes its fetches, and every store but the
+event store its flushes, through a
 :class:`~repro.storage.faults.FaultInjector` (the chaos layer): a flush
 may land torn, bit-flipped or not at all, and a fetch may fail with an
 injected EIO.  Stores never hide the damage — framed segments fail
@@ -29,10 +39,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MissingSegmentError, StorageError
-from repro.storage.codec import decode, encode
+from repro.storage.codec import decode, encode, list_header, split_list
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
-from repro.storage.integrity import protect, verify
+from repro.storage.integrity import FRAME_BYTES, protect, verify
 
 
 class EventStore:
@@ -42,7 +52,13 @@ class EventStore:
     a crash never loses input — not even events still waiting for the
     punctuation that would form their epoch.  When an epoch forms, its
     events are *sealed*: a tiny boundary record marks which pending
-    events belong to it (no payload rewrite).
+    events belong to it (no payload rewrite is charged).
+
+    Each event is encoded once, on arrival.  The pending tail keeps the
+    encoded events one by one; sealing joins an epoch's events behind a
+    list header — exactly ``encode(list(epoch_events))`` — and keeps the
+    CRC frame of that list.  Sizes are the lengths of these bytes, kept
+    as running totals, so sizing the store never encodes.
 
     Recovery reads sealed epochs by id and can also fetch the pending
     tail (arrived but never processed) to resume exactly where the
@@ -56,16 +72,25 @@ class EventStore:
     ):
         self._device = device
         self._faults = faults
-        #: sealed epoch -> encoded event payloads, in arrival order.
-        self._epochs: Dict[int, List[Any]] = {}
-        #: arrived but not yet sealed into an epoch.
-        self._pending: List[Any] = []
+        #: sealed epoch -> (framed encoded event list, event count).
+        self._epochs: Dict[int, Tuple[bytes, int]] = {}
+        #: encoded events arrived but not yet sealed, in arrival order.
+        self._pending: List[bytes] = []
+        #: payload bytes of every sealed epoch (frames excluded).
+        self._sealed_bytes = 0
+        #: summed lengths of the encoded pending events.
+        self._pending_bytes = 0
 
     def append_events(self, events: List[Any]) -> float:
         """Ingress append: persist arriving events; returns I/O seconds."""
-        blob = encode(list(events))
-        self._pending.extend(events)
-        return self._device.write(len(blob))
+        return self._append_encoded([encode(event) for event in events])
+
+    def _append_encoded(self, items: List[bytes]) -> float:
+        """Keep already-encoded events; charges their list's size."""
+        self._pending.extend(items)
+        body = sum(map(len, items))
+        self._pending_bytes += body
+        return self._device.write(len(list_header(len(items))) + body)
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         """Mark the next ``count`` pending events as epoch ``epoch_id``.
@@ -79,10 +104,31 @@ class EventStore:
             raise StorageError(
                 f"cannot seal {count} events; only {len(self._pending)} pending"
             )
-        self._epochs[epoch_id] = self._pending[:count]
-        self._pending = self._pending[count:]
+        items = self._pending[:count]
+        del self._pending[:count]
+        self._pending_bytes -= sum(map(len, items))
+        self._seal(epoch_id, items)
         boundary = encode((epoch_id, count))
         return self._device.write(len(boundary))
+
+    def _seal(self, epoch_id: int, items: List[bytes]) -> None:
+        payload = list_header(len(items)) + b"".join(items)
+        self._epochs[epoch_id] = (protect(payload), len(items))
+        self._sealed_bytes += len(payload)
+
+    def _unseal(self, epoch_id: int) -> int:
+        """Drop one sealed epoch; returns its payload bytes."""
+        frame, _count = self._epochs.pop(epoch_id)
+        size = len(frame) - FRAME_BYTES
+        self._sealed_bytes -= size
+        return size
+
+    def _payload(self, epoch_id: int) -> bytes:
+        """The verified encoded event list of one sealed epoch."""
+        entry = self._epochs.get(epoch_id)
+        if entry is None:
+            raise MissingSegmentError(f"no events sealed for epoch {epoch_id}")
+        return verify(entry[0], f"event epoch {epoch_id}")
 
     def reopen_epoch(self, epoch_id: int) -> int:
         """Un-seal the *newest* sealed epoch back into the pending tail.
@@ -93,23 +139,22 @@ class EventStore:
         Only the tail epoch may be reopened (older epochs committed).
         Returns the number of events returned to the buffer.
         """
-        payloads = self._epochs.get(epoch_id)
-        if payloads is None:
-            raise MissingSegmentError(f"no events sealed for epoch {epoch_id}")
+        items = split_list(self._payload(epoch_id))
         if epoch_id != max(self._epochs):
             raise StorageError(
                 f"cannot reopen epoch {epoch_id}: only the newest sealed "
                 "epoch may be returned to the ingress tail"
             )
-        del self._epochs[epoch_id]
-        self._pending = list(payloads) + self._pending
-        return len(payloads)
+        self._unseal(epoch_id)
+        self._pending[:0] = items
+        self._pending_bytes += sum(map(len, items))
+        return len(items)
 
     def count_epoch(self, epoch_id: int) -> int:
         """Number of events sealed into one epoch (boundary metadata —
         no payload read is charged)."""
         try:
-            return len(self._epochs[epoch_id])
+            return self._epochs[epoch_id][1]
         except KeyError:
             raise MissingSegmentError(
                 f"no events sealed for epoch {epoch_id}"
@@ -126,22 +171,25 @@ class EventStore:
         events: List[Any] = []
         seconds = 0.0
         for epoch_id in range(first_epoch, last_epoch + 1):
-            payloads = self._epochs.get(epoch_id)
-            if payloads is None:
+            entry = self._epochs.get(epoch_id)
+            if entry is None:
                 raise MissingSegmentError(
                     f"no events sealed for epoch {epoch_id}"
                 )
+            frame = entry[0]
+            context = f"event epoch {epoch_id}"
             if self._faults is not None:
-                self._faults.on_read("events", f"event epoch {epoch_id}")
-            seconds += self._device.read(len(encode(payloads)))
-            events.extend(payloads)
+                self._faults.on_read("events", context)
+            seconds += self._device.read(len(frame) - FRAME_BYTES)
+            events.extend(decode(verify(frame, context)))
         return events, seconds
 
     def read_pending(self) -> Tuple[List[Any], float]:
         """Fetch the unsealed ingress tail; returns (events, io_seconds)."""
-        blob = encode(self._pending)
-        seconds = self._device.read(len(blob)) if self._pending else 0.0
-        return list(self._pending), seconds
+        if not self._pending:
+            return [], 0.0
+        payload = list_header(len(self._pending)) + b"".join(self._pending)
+        return decode(payload), self._device.read(len(payload))
 
     @property
     def pending_count(self) -> int:
@@ -157,16 +205,16 @@ class EventStore:
         The pending tail is never reclaimed.  Returns bytes freed.
         """
         stale = [e for e in self._epochs if e < epoch_id]
-        freed = 0
-        for e in stale:
-            freed += len(encode(self._epochs.pop(e)))
-        return freed
+        return sum(self._unseal(e) for e in stale)
 
     @property
     def bytes_stored(self) -> int:
-        sealed = sum(len(encode(p)) for p in self._epochs.values())
-        pending = len(encode(self._pending)) if self._pending else 0
-        return sealed + pending
+        """Encoded size of every sealed epoch's event list, plus that of
+        the pending tail's list when it is not empty."""
+        if not self._pending:
+            return self._sealed_bytes
+        pending = len(list_header(len(self._pending))) + self._pending_bytes
+        return self._sealed_bytes + pending
 
 
 class SnapshotStore:
@@ -205,15 +253,17 @@ class SnapshotStore:
         self._snapshots[epoch_id] = entry
         return self._device.write(len(blob))
 
-    def put(self, epoch_id: int, state: Any) -> float:
-        """Persist a full snapshot taken at the end of ``epoch_id``."""
-        blob = protect(encode(state))
-        return self._write(epoch_id, (self._FULL, blob, None))
+    def put(self, epoch_id: int, payload: bytes) -> float:
+        """Persist a full snapshot taken at the end of ``epoch_id``.
 
-    def put_delta(self, epoch_id: int, delta: Any, base_epoch: int) -> float:
+        ``payload`` is the encoded state; the caller keeps its length.
+        """
+        return self._write(epoch_id, (self._FULL, protect(payload), None))
+
+    def put_delta(self, epoch_id: int, payload: bytes, base_epoch: int) -> float:
         """Persist a delta over the checkpoint at ``base_epoch``.
 
-        ``delta`` is a (table -> {key: value}) mapping of records
+        ``payload`` encodes a (table -> {key: value}) mapping of records
         written since ``base_epoch``'s checkpoint.
         """
         if base_epoch not in self._snapshots:
@@ -222,8 +272,7 @@ class SnapshotStore:
             )
         if epoch_id <= base_epoch:
             raise StorageError("delta must come after its base")
-        blob = protect(encode(delta))
-        return self._write(epoch_id, (self._DELTA, blob, base_epoch))
+        return self._write(epoch_id, (self._DELTA, protect(payload), base_epoch))
 
     def latest_epoch(self) -> Optional[int]:
         """Epoch of the most recent snapshot, or ``None`` if none exists."""
@@ -343,14 +392,15 @@ class LogStore:
         self._faults = faults
         self._segments: Dict[Tuple[str, int], bytes] = {}
 
-    def commit_epoch(self, stream: str, epoch_id: int, records: Any) -> float:
-        """Group-commit ``records`` for ``epoch_id``; returns I/O seconds."""
+    def commit_epoch(self, stream: str, epoch_id: int, payload: bytes) -> float:
+        """Group-commit the encoded records of ``epoch_id``; returns I/O
+        seconds."""
         key = (stream, epoch_id)
         if key in self._segments:
             raise StorageError(
                 f"log stream {stream!r} epoch {epoch_id} already committed"
             )
-        blob = protect(encode(records))
+        blob = protect(payload)
         landed: Optional[bytes] = blob
         if self._faults is not None:
             landed = self._faults.on_write(

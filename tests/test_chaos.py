@@ -22,6 +22,7 @@ from repro.harness.chaos import (
     smoke_config,
 )
 from repro.harness.runner import ground_truth
+from repro.storage.codec import encode
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.stores import Disk
@@ -207,7 +208,7 @@ class TestFileDiskTornTail:
         time (the ladder decides what to do with it)."""
         disk = FileBackedDisk(tmp_path)
         for epoch in (1, 2, 3):
-            disk.logs.commit_epoch("wal", epoch, [f"r{epoch}"])
+            disk.logs.commit_epoch("wal", epoch, encode([f"r{epoch}"]))
         mid = tmp_path / "logs" / "wal" / "2.bin"
         blob = mid.read_bytes()
         mid.write_bytes(blob[: len(blob) // 2])

@@ -103,6 +103,19 @@ class TestErrors:
         with pytest.raises(StorageError):
             decode(b"\x7f")
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\x05\x01\xff",  # a string that is not UTF-8
+            b"\x09\x01\x08\x00\x00",  # a dict keyed by a list
+            b"\x08\x01\x04\x00",  # a list holding a cut-off float
+            b"\x07\x01\x03\x80",  # a tuple holding a cut-off varint
+        ],
+    )
+    def test_malformed_record_raises_storage_error(self, blob):
+        with pytest.raises(StorageError):
+            decode(blob)
+
 
 # A recursive strategy over everything the codec supports.
 _scalars = st.one_of(

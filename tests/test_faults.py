@@ -13,7 +13,15 @@ from repro.errors import (
     StorageError,
     TornSegmentError,
 )
-from repro.storage.faults import FaultInjector, FaultSpec
+from repro.storage.codec import encode
+from repro.storage.faults import (
+    POINT_KINDS,
+    READ_KINDS,
+    TARGETS,
+    WRITE_KINDS,
+    FaultInjector,
+    FaultSpec,
+)
 from repro.storage.integrity import protect, verify
 from repro.storage.stores import Disk
 
@@ -34,6 +42,58 @@ class TestFaultSpecValidation:
     def test_nth_is_one_based(self):
         with pytest.raises(ConfigError):
             FaultSpec("torn", nth=0)
+
+    @pytest.mark.parametrize("kind", WRITE_KINDS)
+    def test_write_fault_on_events_rejected(self, kind):
+        # The event store has no write hook: such a spec would be
+        # accepted and silently inject nothing.
+        with pytest.raises(ConfigError, match="no on_write hook"):
+            FaultSpec(kind, target="events", probability=1.0)
+
+
+def _drive_every_hook(disk):
+    """Pass every store's write and read hook and one crash gate once,
+    swallowing the injected failures."""
+    faults = disk.faults
+    steps = [
+        lambda: disk.events.append_events([(0, "e", ())]),
+        lambda: disk.events.seal_epoch(0, 1),
+        lambda: disk.events.read_epochs(0, 0),
+        lambda: disk.snapshots.put(0, encode({"t": {1: 1.0}})),
+        lambda: disk.snapshots.load(0),
+        lambda: disk.logs.commit_epoch("wal", 0, encode(["r"])),
+        lambda: disk.logs.read_epoch("wal", 0),
+        lambda: disk.progress.save({"next_epoch": 1}),
+        lambda: disk.progress.load(),
+        lambda: faults.at_point("recovery.epoch-replayed"),
+        faults.maybe_crash,
+    ]
+    for step in steps:
+        try:
+            step()
+        except (StorageError, InjectedCrash):
+            pass
+
+
+def _accepted_pairs():
+    pairs = []
+    for kind in WRITE_KINDS + READ_KINDS + POINT_KINDS:
+        for target in TARGETS:
+            point = "recovery.epoch-replayed" if kind in POINT_KINDS else None
+            try:
+                FaultSpec(kind, target=target, nth=1, point=point)
+            except ConfigError:
+                continue
+            pairs.append((kind, target))
+    return pairs
+
+
+@pytest.mark.parametrize("kind,target", _accepted_pairs())
+def test_every_accepted_fault_fires(kind, target):
+    point = "recovery.epoch-replayed" if kind in POINT_KINDS else None
+    faults = FaultInjector([FaultSpec(kind, target=target, nth=1, point=point)])
+    _drive_every_hook(Disk(faults=faults))
+    assert [f.kind for f in faults.injected] == [kind]
 
 
 class TestInjectorTriggers:
@@ -102,7 +162,7 @@ class TestStorePlumbing:
 
     def test_torn_log_segment_raises_torn_error_with_context(self):
         disk = self._disk(FaultSpec("torn", target="log", nth=1))
-        disk.logs.commit_epoch("wal", 3, ["record"])
+        disk.logs.commit_epoch("wal", 3, encode(["record"]))
         with pytest.raises(TornSegmentError) as err:
             disk.logs.read_epoch("wal", 3)
         assert "'wal'" in str(err.value)
@@ -110,14 +170,14 @@ class TestStorePlumbing:
 
     def test_bitflipped_log_segment_raises_corrupt_error(self):
         disk = self._disk(FaultSpec("bitflip", target="log", nth=1))
-        disk.logs.commit_epoch("wal", 3, ["record"])
+        disk.logs.commit_epoch("wal", 3, encode(["record"]))
         with pytest.raises(CorruptSegmentError) as err:
             disk.logs.read_epoch("wal", 3)
         assert "checksum mismatch" in str(err.value)
 
     def test_dropped_log_flush_never_lands_but_is_charged(self):
         disk = self._disk(FaultSpec("drop", target="log", nth=1))
-        seconds = disk.logs.commit_epoch("wal", 3, ["record"])
+        seconds = disk.logs.commit_epoch("wal", 3, encode(["record"]))
         assert seconds > 0  # the device still billed the write
         assert not disk.logs.has_epoch("wal", 3)
         with pytest.raises(MissingSegmentError):
@@ -125,7 +185,7 @@ class TestStorePlumbing:
 
     def test_dropped_snapshot_flush_never_lands(self):
         disk = self._disk(FaultSpec("drop", target="snapshot", nth=1))
-        disk.snapshots.put(0, {"t": {1: 1.0}})
+        disk.snapshots.put(0, encode({"t": {1: 1.0}}))
         assert disk.snapshots.latest_epoch() is None
 
     def test_read_error_on_event_store(self):
@@ -138,7 +198,7 @@ class TestStorePlumbing:
 
     def test_torn_snapshot_detected_at_load(self):
         disk = self._disk(FaultSpec("torn", target="snapshot", nth=1))
-        disk.snapshots.put(4, {"t": {1: 1.0}})
+        disk.snapshots.put(4, encode({"t": {1: 1.0}}))
         with pytest.raises(TornSegmentError) as err:
             disk.snapshots.load(4)
         assert "snapshot epoch 4" in str(err.value)
@@ -196,9 +256,9 @@ class TestEventStoreReopen:
 class TestDiscardAndQuarantine:
     def test_log_discard_from_drops_partial_commits(self):
         disk = Disk()
-        disk.logs.commit_epoch("wal", 1, ["a"])
-        disk.logs.commit_epoch("wal", 2, ["b"])
-        disk.logs.commit_epoch("msr", 2, ["c"])
+        disk.logs.commit_epoch("wal", 1, encode(["a"]))
+        disk.logs.commit_epoch("wal", 2, encode(["b"]))
+        disk.logs.commit_epoch("msr", 2, encode(["c"]))
         assert disk.logs.discard_from(2) > 0
         assert disk.logs.has_epoch("wal", 1)
         assert not disk.logs.has_epoch("wal", 2)
@@ -206,14 +266,14 @@ class TestDiscardAndQuarantine:
 
     def test_quarantine_is_idempotent(self):
         disk = Disk()
-        disk.logs.commit_epoch("wal", 1, ["a"])
+        disk.logs.commit_epoch("wal", 1, encode(["a"]))
         assert disk.logs.quarantine("wal", 1) > 0
         assert disk.logs.quarantine("wal", 1) == 0
 
     def test_snapshot_discard_from(self):
         disk = Disk()
-        disk.snapshots.put(-1, {"t": {}})
-        disk.snapshots.put(3, {"t": {1: 1.0}})
+        disk.snapshots.put(-1, encode({"t": {}}))
+        disk.snapshots.put(3, encode({"t": {1: 1.0}}))
         disk.snapshots.discard_from(3)
         assert disk.snapshots.epochs_desc() == [-1]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.morphstreamr import MorphStreamR
-from repro.errors import RecoveryError
+from repro.errors import MissingSegmentError, RecoveryError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.wal import WriteAheadLog
 from repro.storage.filedisk import FileBackedDisk
@@ -86,6 +86,17 @@ class TestCrossProcessRecovery:
         assert files
 
 
+def _sealed_epochs(store):
+    sealed = []
+    for epoch in range(store.last_sealed_epoch() + 1):
+        try:
+            store.count_epoch(epoch)
+        except MissingSegmentError:
+            continue
+        sealed.append(epoch)
+    return sealed
+
+
 class TestFileStoreFidelity:
     def test_reopened_store_equals_original(self, tmp_path, sl):
         events = sl.generate(200, seed=4)
@@ -102,6 +113,28 @@ class TestFileStoreFidelity:
             reopened.snapshots.latest_epoch()
         )
         assert original == restored
+
+    def test_reopened_events_and_sizes_equal_original(self, tmp_path, gs):
+        # 370 events in 4 uneven arrivals: epochs straddle arrival
+        # files, GC back to the checkpoint at epoch 2 left epochs 3-6,
+        # and 20 events wait in the pending tail.
+        events = gs.generate(370, seed=6)
+        disk = FileBackedDisk(tmp_path)
+        scheme = MorphStreamR(gs, disk=disk, gc_keep_checkpoints=2, **RUN)
+        for start, end in ((0, 70), (70, 160), (160, 305), (305, 370)):
+            scheme.process_stream(events[start:end])
+
+        reopened = FileBackedDisk(tmp_path)
+        assert reopened.events.bytes_stored == disk.events.bytes_stored
+        assert reopened.bytes_stored == disk.bytes_stored
+        assert reopened.events.read_pending()[0] == disk.events.read_pending()[0]
+        sealed = _sealed_epochs(disk.events)
+        assert sealed == [3, 4, 5, 6]
+        assert _sealed_epochs(reopened.events) == sealed
+        first, last = sealed[0], sealed[-1]
+        assert reopened.events.read_epochs(first, last)[0] == (
+            disk.events.read_epochs(first, last)[0]
+        )
 
     def test_delta_chains_survive_reopen(self, tmp_path, gs):
         disk = FileBackedDisk(tmp_path)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import ConfigError, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.storage.codec import encode
 from repro.storage.device import StorageDevice
 from repro.storage.stores import SnapshotStore
 from tests.conftest import serial_ground_truth
@@ -15,17 +16,17 @@ from tests.conftest import serial_ground_truth
 class TestSnapshotStoreDeltas:
     def test_delta_load_reconstructs_state(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {"t": {1: 1.0, 2: 2.0}})
-        store.put_delta(1, {"t": {2: 9.0}}, base_epoch=0)
+        store.put(0, encode({"t": {1: 1.0, 2: 2.0}}))
+        store.put_delta(1, encode({"t": {2: 9.0}}), base_epoch=0)
         state, seconds = store.load(1)
         assert state == {"t": {1: 1.0, 2: 9.0}}
         assert seconds > 0
 
     def test_delta_chain_applies_in_order(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {"t": {1: 1.0}})
-        store.put_delta(1, {"t": {1: 2.0}}, base_epoch=0)
-        store.put_delta(2, {"t": {1: 3.0}}, base_epoch=1)
+        store.put(0, encode({"t": {1: 1.0}}))
+        store.put_delta(1, encode({"t": {1: 2.0}}), base_epoch=0)
+        store.put_delta(2, encode({"t": {1: 3.0}}), base_epoch=1)
         state, _s = store.load(2)
         assert state == {"t": {1: 3.0}}
         # Loading a mid-chain epoch reconstructs that point in time.
@@ -33,34 +34,34 @@ class TestSnapshotStoreDeltas:
 
     def test_delta_may_add_new_tables(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {"a": {1: 1.0}})
-        store.put_delta(1, {"b": {5: 5.0}}, base_epoch=0)
+        store.put(0, encode({"a": {1: 1.0}}))
+        store.put_delta(1, encode({"b": {5: 5.0}}), base_epoch=0)
         assert store.load(1)[0] == {"a": {1: 1.0}, "b": {5: 5.0}}
 
     def test_chain_base_and_is_delta(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {})
-        store.put_delta(2, {}, base_epoch=0)
-        store.put_delta(5, {}, base_epoch=2)
+        store.put(0, encode({}))
+        store.put_delta(2, encode({}), base_epoch=0)
+        store.put_delta(5, encode({}), base_epoch=2)
         assert store.chain_base(5) == 0
         assert store.is_delta(5) and not store.is_delta(0)
 
     def test_delta_requires_existing_base(self):
         store = SnapshotStore(StorageDevice())
         with pytest.raises(StorageError):
-            store.put_delta(1, {}, base_epoch=0)
+            store.put_delta(1, encode({}), base_epoch=0)
 
     def test_delta_must_follow_its_base(self):
         store = SnapshotStore(StorageDevice())
-        store.put(5, {})
+        store.put(5, encode({}))
         with pytest.raises(StorageError):
-            store.put_delta(3, {}, base_epoch=5)
+            store.put_delta(3, encode({}), base_epoch=5)
 
     def test_truncate_preserves_live_chains(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {"t": {1: 1.0}})
-        store.put(1, {"t": {1: 1.5}})  # stale full, safe to drop
-        store.put_delta(4, {"t": {1: 2.0}}, base_epoch=0)
+        store.put(0, encode({"t": {1: 1.0}}))
+        store.put(1, encode({"t": {1: 1.5}}))  # stale full, safe to drop
+        store.put_delta(4, encode({"t": {1: 2.0}}), base_epoch=0)
         store.truncate_before(4)
         # Epoch 0 anchors the surviving delta and must remain loadable.
         assert store.load(4)[0] == {"t": {1: 2.0}}
@@ -70,8 +71,8 @@ class TestSnapshotStoreDeltas:
     def test_chain_load_reads_more_bytes_than_full(self):
         store = SnapshotStore(StorageDevice())
         big = {"t": {k: float(k) for k in range(500)}}
-        store.put(0, big)
-        store.put_delta(1, {"t": {1: 9.0}}, base_epoch=0)
+        store.put(0, encode(big))
+        store.put_delta(1, encode({"t": {1: 9.0}}), base_epoch=0)
         _s, full_io = store.load(0)
         _s, chain_io = store.load(1)
         assert chain_io > full_io

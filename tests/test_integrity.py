@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.storage.codec import encode
 from repro.storage.device import StorageDevice
 from repro.storage.integrity import protect, verify
 from repro.storage.stores import LogStore, SnapshotStore
@@ -39,7 +40,7 @@ class TestFraming:
 class TestStoreIntegration:
     def test_snapshot_corruption_detected_on_load(self):
         store = SnapshotStore(StorageDevice())
-        store.put(0, {"t": {1: 2.0}})
+        store.put(0, encode({"t": {1: 2.0}}))
         kind, blob, base = store._snapshots[0]
         corrupted = bytearray(blob)
         corrupted[10] ^= 0x40
@@ -49,7 +50,7 @@ class TestStoreIntegration:
 
     def test_log_corruption_detected_on_read(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("wal", 0, [(0, "cmd", (1, 2))])
+        store.commit_epoch("wal", 0, encode([(0, "cmd", (1, 2))]))
         blob = bytearray(store._segments[("wal", 0)])
         blob[-2] ^= 0x08
         store._segments[("wal", 0)] = bytes(blob)

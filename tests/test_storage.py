@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, StorageError
+from repro.storage.codec import encode
 from repro.storage.device import StorageDevice
 from repro.storage.stores import Disk, EventStore, LogStore, SnapshotStore
 
@@ -132,7 +133,7 @@ class TestSnapshotStore:
     def test_put_load_round_trip(self):
         store = SnapshotStore(StorageDevice())
         state = {"t": {1: 2.0, 2: 3.0}}
-        store.put(5, state)
+        store.put(5, encode(state))
         loaded, seconds = store.load(5)
         assert loaded == state
         assert seconds > 0
@@ -140,8 +141,8 @@ class TestSnapshotStore:
     def test_latest_epoch(self):
         store = SnapshotStore(StorageDevice())
         assert store.latest_epoch() is None
-        store.put(1, {})
-        store.put(5, {})
+        store.put(1, encode({}))
+        store.put(5, encode({}))
         assert store.latest_epoch() == 5
 
     def test_load_missing_rejected(self):
@@ -150,8 +151,8 @@ class TestSnapshotStore:
 
     def test_truncate_keeps_target_epoch(self):
         store = SnapshotStore(StorageDevice())
-        store.put(1, {"a": {}})
-        store.put(5, {"b": {}})
+        store.put(1, encode({"a": {}}))
+        store.put(5, encode({"b": {}}))
         store.truncate_before(5)
         assert store.latest_epoch() == 5
         with pytest.raises(StorageError):
@@ -161,41 +162,41 @@ class TestSnapshotStore:
 class TestLogStore:
     def test_commit_read_round_trip(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("wal", 0, [(0, "cmd")])
+        store.commit_epoch("wal", 0, encode([(0, "cmd")]))
         records, _s = store.read_epoch("wal", 0)
         assert records == [(0, "cmd")]
 
     def test_streams_are_independent(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("a", 0, ["a0"])
-        store.commit_epoch("b", 0, ["b0"])
+        store.commit_epoch("a", 0, encode(["a0"]))
+        store.commit_epoch("b", 0, encode(["b0"]))
         assert store.read_epoch("a", 0)[0] == ["a0"]
         assert store.read_epoch("b", 0)[0] == ["b0"]
         assert store.bytes_for_stream("a") > 0
 
     def test_double_commit_rejected(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("wal", 0, [])
+        store.commit_epoch("wal", 0, encode([]))
         with pytest.raises(StorageError):
-            store.commit_epoch("wal", 0, [])
+            store.commit_epoch("wal", 0, encode([]))
 
     def test_read_epochs_skips_gaps(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("wal", 0, ["x"])
-        store.commit_epoch("wal", 2, ["y"])
+        store.commit_epoch("wal", 0, encode(["x"]))
+        store.commit_epoch("wal", 2, encode(["y"]))
         segments, _s = store.read_epochs("wal", 0, 2)
         assert segments == [["x"], ["y"]]
 
     def test_has_epoch(self):
         store = LogStore(StorageDevice())
         assert not store.has_epoch("wal", 0)
-        store.commit_epoch("wal", 0, [])
+        store.commit_epoch("wal", 0, encode([]))
         assert store.has_epoch("wal", 0)
 
     def test_truncate_by_epoch(self):
         store = LogStore(StorageDevice())
-        store.commit_epoch("wal", 0, ["x"])
-        store.commit_epoch("wal", 3, ["y"])
+        store.commit_epoch("wal", 0, encode(["x"]))
+        store.commit_epoch("wal", 3, encode(["y"]))
         store.truncate_before(2)
         assert not store.has_epoch("wal", 0)
         assert store.has_epoch("wal", 3)
@@ -205,7 +206,7 @@ class TestDisk:
     def test_shared_device_accounting(self):
         disk = Disk()
         disk.events.append_events([(0, "e", ())])
-        disk.snapshots.put(0, {"t": {}})
-        disk.logs.commit_epoch("wal", 0, [])
+        disk.snapshots.put(0, encode({"t": {}}))
+        disk.logs.commit_epoch("wal", 0, encode([]))
         assert disk.device.stats.write_ops == 3
         assert disk.bytes_stored > 0
