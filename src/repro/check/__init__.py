@@ -6,7 +6,8 @@ vocabulary (storage damage, mid-epoch crashes, recovery worker faults,
 crashes at registered ``recovery.*`` milestones, correlated cluster
 kills) and composes them into schedules; :mod:`repro.check.runner`
 executes one schedule on the virtual-time simulator and records a
-structured observation; :mod:`repro.check.invariants` checks every
+structured observation (it is also the executor behind ``repro
+chaos``); :mod:`repro.check.invariants` checks every
 observation against the declarative invariant registry;
 :mod:`repro.check.explorer` enumerates schedules breadth-first under a
 run budget with crash-point coverage accounting; and

@@ -863,10 +863,18 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from collections import Counter
     from dataclasses import replace
 
+    from repro.check.schedule import (
+        FAMILY_KILL,
+        FAMILY_RPOINT,
+        FAMILY_STORAGE,
+        FAMILY_WORKER,
+    )
     from repro.harness.chaos import (
         ChaosConfig,
+        chaos_cells,
         chaos_payload,
         run_chaos,
         smoke_config,
@@ -874,13 +882,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.harness.export import write_json
     from repro.harness.stats import latency_summary
 
-    cfg = (
-        smoke_config(seed=args.seed)
-        if args.smoke
-        else replace(ChaosConfig(), seed=args.seed)
+    cfg = smoke_config() if args.smoke else ChaosConfig()
+    cfg = replace(
+        cfg,
+        scenario=replace(cfg.scenario, seed=args.seed, backend=args.backend),
     )
-    if args.backend != "sim":
-        cfg = replace(cfg, backend=args.backend)
     if args.schemes:
         wanted = tuple(
             s.strip().upper() for s in args.schemes.split(",") if s.strip()
@@ -891,31 +897,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         cfg = replace(cfg, schemes=wanted)
     if args.no_cluster:
-        cfg = replace(
-            cfg,
-            cluster_placements=(),
-            cluster_kills=(),
-            cluster_overwhelm=False,
-        )
-    grid = len(cfg.schemes) * len(cfg.fault_kinds) * len(cfg.crash_points)
-    recovery_cells = sum(
-        len(cfg.recovery_crash_points)
-        - (1 if "recovery.chain" in cfg.recovery_crash_points
-           and scheme != "MSR" else 0)
-        + (1 if cfg.nested_crash and cfg.recovery_crash_points else 0)
-        for scheme in cfg.schemes
-    )
-    worker_cells = len(cfg.schemes) * len(cfg.worker_faults)
-    cluster_cells = 0
-    if cfg.cluster_placements and cfg.cluster_kills:
-        cluster_cells = (
-            len(cfg.cluster_placements) * len(cfg.cluster_kills)
-            + (1 if cfg.cluster_overwhelm else 0)
-        )
+        cfg = replace(cfg, cluster_placements=(), cluster_kills=())
+    cells = Counter(cell.family for cell in chaos_cells(cfg))
     print(
-        f"chaos sweep: {grid} storage-fault cells + {worker_cells} "
-        f"worker-failure cells + {recovery_cells} crash-during-recovery "
-        f"cells + {cluster_cells} cluster-kill cells (seed {cfg.seed}) ..."
+        f"chaos sweep: {cells[FAMILY_STORAGE]} storage-fault cells + "
+        f"{cells[FAMILY_WORKER]} worker-failure cells + "
+        f"{cells[FAMILY_RPOINT]} crash-during-recovery cells + "
+        f"{cells[FAMILY_KILL]} cluster-kill cells "
+        f"(seed {cfg.scenario.seed}) ..."
     )
     report = run_chaos(cfg)
     rows = []

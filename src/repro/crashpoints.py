@@ -80,14 +80,22 @@ def validate_point(name: str) -> None:
 
 
 def registered_points(
-    domain: Optional[str] = None, scheme: Optional[str] = None
+    domain: Optional[str] = None,
+    scheme: Optional[str] = None,
+    *,
+    by_name: bool = True,
 ) -> Tuple[CrashPoint, ...]:
     """All registered points, optionally filtered by domain and scheme.
 
     ``scheme`` keeps only points reachable by that scheme's runs
     (points with an empty ``schemes`` tuple apply to every scheme).
+    Points come sorted by name; ``by_name=False`` keeps registration
+    order, which for the recovery domain is the order one
+    ``recover()`` crosses them.
     """
-    points = sorted(_REGISTRY.values(), key=lambda p: p.name)
+    points = list(_REGISTRY.values())
+    if by_name:
+        points.sort(key=lambda p: p.name)
     if domain is not None:
         points = [p for p in points if p.domain == domain]
     if scheme is not None:

@@ -7,13 +7,6 @@ exactly-once outputs against the serial ground truth.
 top of it; :mod:`repro.harness.report` renders the printed tables.
 """
 
-from repro.harness.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    ChaosRun,
-    run_chaos,
-    smoke_config,
-)
 from repro.harness.runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -40,11 +33,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "ground_truth",
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosRun",
-    "run_chaos",
-    "smoke_config",
     "SLOTargets",
     "SLOVerdict",
     "evaluate_slo",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,22 @@ from hypothesis import strategies as st
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import InjectedCrash, MissingSegmentError
 from repro.ft.wal import WriteAheadLog
+from repro.check.runner import (
+    CheckConfig,
+    RunObservation,
+    make_workload,
+    run_schedule,
+)
 from repro.harness.chaos import (
+    CHAOS_SCENARIO,
     CRASH_POINTS,
     FAULT_KINDS,
     CHAOS_SCHEMA,
     NESTED_CELL,
     ChaosConfig,
-    _run_one,
+    chaos_cells,
     chaos_payload,
+    grade,
     load_chaos_payload,
     run_chaos,
     smoke_config,
@@ -26,20 +36,8 @@ from repro.storage.codec import encode
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.stores import Disk
-from repro.workloads.streaming_ledger import StreamingLedger
 
 DOCUMENTED_OUTCOMES = ("exact", "exact-degraded", "failed-loud")
-
-
-def chaos_workload():
-    return StreamingLedger(
-        64,
-        transfer_ratio=0.6,
-        multi_partition_ratio=0.4,
-        skew=0.4,
-        forced_abort_ratio=0.05,
-        num_partitions=4,
-    )
 
 
 class TestChaosProperty:
@@ -62,9 +60,13 @@ class TestChaosProperty:
             schemes=(scheme,),
             fault_kinds=(fault,),
             crash_points=(point,),
-            seed=seed,
+            worker_faults=(),
+            recovery_crash_points=(),
+            cluster_placements=(),
+            scenario=replace(CHAOS_SCENARIO, seed=seed),
         )
-        run = _run_one(scheme, fault, point, cfg)
+        (cell,) = chaos_cells(cfg)
+        run = grade(cell, run_schedule(cell.schedule, cell.scenario))
         assert run.ok, f"{scheme}/{fault}/{point}: {run.outcome} {run.detail}"
         assert run.outcome in DOCUMENTED_OUTCOMES
 
@@ -73,7 +75,7 @@ class TestMSRTornViewLog:
     def test_torn_view_segment_triggers_ladder_and_recovers_exact(self):
         """The acceptance scenario: a torn tail segment in MSR's view
         log visibly takes the replay rung and still recovers exactly."""
-        workload = chaos_workload()
+        workload = make_workload()
         injector = FaultInjector(
             [FaultSpec("torn", target="log", nth=6, stream="msr")]
         )
@@ -102,7 +104,7 @@ class TestMSRTornViewLog:
     def test_strict_mode_fails_loud_on_torn_view_segment(self):
         from repro.errors import StorageError
 
-        workload = chaos_workload()
+        workload = make_workload()
         injector = FaultInjector(
             [FaultSpec("torn", target="log", nth=6, stream="msr")]
         )
@@ -123,7 +125,7 @@ class TestMSRTornViewLog:
 
 class TestMidEpochCrash:
     def test_crash_during_group_commit_reprocesses_the_sealed_epoch(self):
-        workload = chaos_workload()
+        workload = make_workload()
         injector = FaultInjector(
             [FaultSpec("crash", target="log", nth=6, stream="msr")]
         )
@@ -148,7 +150,7 @@ class TestMidEpochCrash:
         assert scheme.sink.outputs() == expected_outputs
 
     def test_crash_during_checkpoint_falls_back_to_older_checkpoint(self):
-        workload = chaos_workload()
+        workload = make_workload()
         injector = FaultInjector(
             [FaultSpec("crash", target="snapshot", nth=2)]
         )
@@ -255,6 +257,36 @@ class TestChaosSweep:
         with pytest.raises(ConfigError):
             ChaosConfig(schemes=("NAT",))
 
+    def test_check_config_rejects_nat(self):
+        from repro.cli import main
+        from repro.errors import ConfigError
+        from repro.exitcodes import EXIT_USAGE
+
+        with pytest.raises(ConfigError, match="NAT"):
+            CheckConfig(schemes=("NAT",))
+        # The CLI refuses before exploring, instead of reporting NAT's
+        # missing fault tolerance as an undocumented-failure counterexample.
+        argv = ["check", "--schemes", "NAT", "--no-cluster", "--budget", "4"]
+        assert main(argv) == EXIT_USAGE
+
+    def test_full_sweep_is_a_fixed_schedule_list(self):
+        from collections import Counter
+
+        cells = chaos_cells(ChaosConfig())
+        assert Counter(c.family for c in cells) == {
+            "storage": 105,
+            "worker": 21,
+            "rpoint": 36,
+            "kill": 7,
+        }
+        # Recovery milestones come from the crash-point registry, so the
+        # MSR-only chain point gets exactly one cell.
+        chain = [c.schedule.scheme for c in cells if c.crash_point == "recovery.chain"]
+        assert chain == ["MSR"]
+        overwhelm = cells[-1]
+        assert overwhelm.expect == ("failed-loud",)
+        assert overwhelm.scenario.cluster_replication == 1
+
     def test_config_rejects_unknown_worker_fault_and_recovery_point(self):
         from repro.errors import ConfigError
 
@@ -263,6 +295,148 @@ class TestChaosSweep:
         with pytest.raises(ConfigError):
             ChaosConfig(recovery_crash_points=("recovery.coffee-break",))
 
+
+#: Every cell of the smoke sweep, pinned: (scheme, fault, crash_point,
+#: outcome, attempts, ladder, mttr_seconds).  Virtual time is
+#: deterministic, so any refactor of the fault-scenario pipeline must
+#: leave this table untouched, bit for bit.
+SMOKE_GOLDEN = [
+    ("MSR", "none", "boundary", "exact", 1, {"fast": 2}, 0.0004867075500000016),
+    ("MSR", "none", "mid-commit", "exact", 1, {"fast": 1}, 0.0002838459500000005),
+    ("MSR", "torn", "boundary", "exact-degraded", 1,
+     {"fast": 1, "replay": 1}, 0.0007891019500000024),
+    ("MSR", "torn", "mid-commit", "exact-degraded", 1,
+     {"replay": 1}, 0.0005596367499999992),
+    ("WAL", "none", "boundary", "exact", 1, {"fast": 2}, 0.0011357755499999994),
+    ("WAL", "none", "mid-commit", "exact", 1, {"fast": 1}, 0.0005916463499999998),
+    ("WAL", "torn", "boundary", "exact-degraded", 1,
+     {"fast": 1, "replay": 1}, 0.0010761383500000042),
+    ("WAL", "torn", "mid-commit", "exact-degraded", 1,
+     {"replay": 1}, 0.0005388747499999998),
+    ("PACMAN", "none", "boundary", "exact", 1, {"fast": 2}, 0.0007983755499999978),
+    ("PACMAN", "none", "mid-commit", "exact", 1, {"fast": 1}, 0.0005460463499999996),
+    ("PACMAN", "torn", "boundary", "exact-degraded", 1,
+     {"fast": 1, "replay": 1}, 0.0010305383500000041),
+    ("PACMAN", "torn", "mid-commit", "exact-degraded", 1,
+     {"replay": 1}, 0.0005388747499999998),
+    ("LVC", "none", "boundary", "exact", 1, {"fast": 2}, 0.0009080735500000011),
+    ("LVC", "none", "mid-commit", "exact", 1, {"fast": 1}, 0.0005154135500000002),
+    ("LVC", "torn", "boundary", "exact-degraded", 1,
+     {"fast": 1, "replay": 1}, 0.0009999055500000038),
+    ("LVC", "torn", "mid-commit", "exact-degraded", 1,
+     {"replay": 1}, 0.0005388747499999998),
+    ("CKPT", "none", "boundary", "exact", 1, {"fast": 2}, 0.0010233667500000043),
+    ("CKPT", "none", "mid-commit", "exact", 1, {"fast": 2}, 0.0010233667500000043),
+    ("CKPT", "torn", "boundary", "exact-degraded", 1, {"fast": 6}, 0.0030373242999999885),
+    ("CKPT", "torn", "mid-commit", "exact-degraded", 1,
+     {"fast": 6}, 0.0030373242999999885),
+    ("MSR", "worker:die-early", "boundary", "exact", 1,
+     {"fast": 2}, 0.000596457550000001),
+    ("MSR", "worker:straggle", "boundary", "exact", 1, {"fast": 2}, 0.00094995755),
+    ("MSR", "none", "recovery.epoch-replayed", "exact", 2,
+     {"fast": 2}, 0.0007295903500000021),
+    ("MSR", "none", "recovery.finalize", "exact", 2, {"fast": 2}, 0.0005073471500000016),
+    ("MSR", "none", "recovery.epoch-replayed:x2", "exact", 3,
+     {"fast": 2}, 0.0009724731500000026),
+    ("WAL", "worker:die-early", "boundary", "exact", 1,
+     {"fast": 2}, 0.0011357755499999994),
+    ("WAL", "worker:straggle", "boundary", "exact", 1,
+     {"fast": 2}, 0.0011357755499999994),
+    ("WAL", "none", "recovery.epoch-replayed", "exact", 2,
+     {"fast": 2}, 0.0016664451499999993),
+    ("WAL", "none", "recovery.finalize", "exact", 2, {"fast": 2}, 0.0011564151499999994),
+    ("WAL", "none", "recovery.epoch-replayed:x2", "exact", 3,
+     {"fast": 2}, 0.0021971147499999987),
+    ("PACMAN", "worker:die-early", "boundary", "exact", 1,
+     {"fast": 2}, 0.0009561755499999983),
+    ("PACMAN", "worker:straggle", "boundary", "exact", 1,
+     {"fast": 2}, 0.002123870687500001),
+    ("PACMAN", "none", "recovery.epoch-replayed", "exact", 2,
+     {"fast": 2}, 0.0012834463499999977),
+    ("PACMAN", "none", "recovery.finalize", "exact", 2,
+     {"fast": 2}, 0.0008190163499999978),
+    ("PACMAN", "none", "recovery.epoch-replayed:x2", "exact", 3,
+     {"fast": 2}, 0.0017685171499999975),
+    ("LVC", "worker:die-early", "boundary", "exact", 1,
+     {"fast": 2}, 0.001147323550000002),
+    ("LVC", "worker:straggle", "boundary", "exact", 1,
+     {"fast": 2}, 0.0024988467875000013),
+    ("LVC", "none", "recovery.epoch-replayed", "exact", 2,
+     {"fast": 2}, 0.0013625103500000011),
+    ("LVC", "none", "recovery.finalize", "exact", 2, {"fast": 2}, 0.0009287131500000011),
+    ("LVC", "none", "recovery.epoch-replayed:x2", "exact", 3,
+     {"fast": 2}, 0.0018169471500000013),
+    ("CKPT", "worker:die-early", "boundary", "exact", 1,
+     {"fast": 2}, 0.0012595667500000048),
+    ("CKPT", "worker:straggle", "boundary", "exact", 1,
+     {"fast": 2}, 0.002051903687499997),
+    ("CKPT", "none", "recovery.epoch-replayed", "exact", 2,
+     {"fast": 2}, 0.0015012651500000045),
+    ("CKPT", "none", "recovery.finalize", "exact", 2, {"fast": 2}, 0.0010440067500000043),
+    ("CKPT", "none", "recovery.epoch-replayed:x2", "exact", 3,
+     {"fast": 2}, 0.0019791635500000042),
+    ("CLUSTER", "checkpoint_spread/r1", "node:0.0", "exact", 1,
+     {"fast": 3}, 0.5006469603),
+    ("CLUSTER", "checkpoint_spread/r1", "rack:0", "exact", 1, {"fast": 6}, 0.5006469603),
+    ("CLUSTER", "standby_replay/r1", "node:0.0", "exact", 1, {"fast": 3}, 0.5006469603),
+    ("CLUSTER", "standby_replay/r1", "rack:0", "exact", 1, {"fast": 6}, 0.5006469603),
+    ("CLUSTER", "checkpoint_spread/r1", "node:0.0+node:1.0", "failed-loud", 1, {}, 0.0),
+]
+
+
+class TestSmokeGolden:
+    def test_every_smoke_cell_matches_the_pinned_table(self):
+        report = run_chaos(smoke_config())
+        observed = [
+            (
+                r.scheme,
+                r.fault,
+                r.crash_point,
+                r.outcome,
+                r.attempts,
+                dict(r.ladder),
+                r.mttr_seconds,
+            )
+            for r in report.runs
+        ]
+        assert len(observed) == len(SMOKE_GOLDEN) == 50
+        for got, want in zip(observed, SMOKE_GOLDEN):
+            assert got == want
+
+
+class TestGrade:
+    """Grading observations that no passing sweep produces."""
+
+    def test_divergence_unexpected_loss_and_installed_state_fail(self):
+        cells = chaos_cells(smoke_config())
+        single = cells[0]
+        diverged = RunObservation(
+            single.schedule,
+            outcome="recovered",
+            state_exact=False,
+            outputs_exact=True,
+            detail="state diverges: x",
+        )
+        run = grade(single, diverged)
+        assert not run.ok
+        assert run.outcome == "UNEXPECTED"
+        assert run.detail == "SILENT DIVERGENCE: state diverges: x"
+        installed = RunObservation(
+            single.schedule, outcome="failed-loud", installed_after_failure=True
+        )
+        assert not grade(single, installed).ok
+        kill = next(c for c in cells if c.family == "kill")
+        lost = RunObservation(
+            kill.schedule, outcome="failed-loud", data_loss=True, detail="lost"
+        )
+        run = grade(kill, lost)
+        assert not run.ok
+        assert run.detail == "expected exact: lost"
+        overwhelm = cells[-1]
+        recovered = RunObservation(
+            overwhelm.schedule, outcome="recovered", cluster_exact=True
+        )
+        assert not grade(overwhelm, recovered).ok
 
 class TestChaosRecoveryDimensions:
     """The worker-failure and crash-during-recovery sweep families."""

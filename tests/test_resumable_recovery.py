@@ -18,10 +18,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.morphstreamr import MorphStreamR
+from repro.crashpoints import DOMAIN_RECOVERY, registered_points
 from repro.errors import InjectedCrash, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.wal import WriteAheadLog
-from repro.harness.chaos import RECOVERY_CRASH_POINTS
 from repro.harness.runner import ground_truth
 from repro.sim.executor import WorkerFault
 from repro.storage.codec import encode
@@ -165,7 +165,10 @@ class TestFileProgressStore:
 
 
 class TestCrashDuringRecoveryConverges:
-    @pytest.mark.parametrize("point", RECOVERY_CRASH_POINTS)
+    @pytest.mark.parametrize(
+        "point",
+        [p.name for p in registered_points(domain=DOMAIN_RECOVERY, scheme="MSR")],
+    )
     def test_every_point_converges_to_uninterrupted_state(self, point):
         expected = baseline_hash(MorphStreamR)
         injector = FaultInjector([crash_at(point)])
